@@ -1,12 +1,14 @@
 """Micro-benchmark guard: vectorized vs row-closure expression evaluation.
 
-The unified expression subsystem compiles every predicate once into two
-targets — per-row closures (the reference oracle) and columnar batch
-evaluators (the vectorized engine).  This guard pins the point of the second
-target: on a 100k-row scan whose WHERE clause exercises the expression tree
-(arithmetic, a boolean connective, BETWEEN), the vectorized batch evaluation
-must deliver at least 3x the operator throughput of the row-closure oracle,
-while charging bit-identical work and producing identical rows.
+The unified expression subsystem compiles every predicate once into per-row
+closures (the reference oracle) and into columnar code (the vectorized
+engine: a fused single-pass kernel for scan filters, batch evaluators
+everywhere else).  This guard pins the point of the columnar code: on a
+100k-row scan whose WHERE clause exercises the expression tree (arithmetic,
+a boolean connective, BETWEEN), the vectorized engine must deliver at least
+3x the operator throughput of the row-closure oracle, while charging
+bit-identical work and producing identical rows.  The fused kernel itself
+is guarded against the batch evaluators in ``test_fused_kernel_speedup.py``.
 
 The timing table is emitted like every other benchmark artifact so the
 harness report (``BENCH_*.json``) captures the expression-eval speedup.
@@ -75,7 +77,7 @@ def test_vectorized_expression_evaluation_speedup(recorder):
 
     (vectorized, reference), result = measure_speedup(
         "expression-eval-speedup",
-        "vectorized batch evaluators vs row closures, 100k-row filter",
+        "vectorized engine (fused scan kernel) vs row closures, 100k-row filter",
         [
             db.executor_for(ExecutionEngine.VECTORIZED),
             db.executor_for(ExecutionEngine.REFERENCE),
@@ -100,7 +102,7 @@ def test_vectorized_expression_evaluation_speedup(recorder):
         direction="info",
     )
 
-    # Guard 2: batch expression evaluation is measurably faster.
+    # Guard 2: columnar expression evaluation is measurably faster.
     assert speedup >= SPEEDUP_FLOOR, (
         f"vectorized expression evaluation only {speedup:.2f}x faster than "
         f"the row-closure oracle (floor {SPEEDUP_FLOOR}x)"

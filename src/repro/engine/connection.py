@@ -72,11 +72,13 @@ def connect(
     ``settings`` object > defaults (see
     :meth:`~repro.engine.settings.EngineSettings.resolve`): any
     :class:`~repro.engine.settings.EngineSettings` field may be passed as a
-    keyword (``connect(engine="parallel", workers=8, estimator="feedback")``)
-    and is lowered onto ``settings``.  Unknown keywords raise
-    :class:`~repro.errors.ConfigError` naming the nearest valid field.  When
-    ``database`` is an existing instance, the resolved settings are applied
-    to it (its executor and estimation strategy are rebuilt).
+    keyword (``connect(engine="reference", estimator="feedback")``) and is
+    lowered onto ``settings``.  Unknown keywords and invalid values
+    (``engine="bogus"`` included) raise :class:`~repro.errors.ConfigError`;
+    an unknown keyword gets the nearest valid field, or the list of fields
+    when none is close.  When ``database`` is an existing instance, the
+    resolved settings are applied to it (its executor and estimation
+    strategy are rebuilt).
 
     Args:
         database: an existing engine instance; a fresh empty one is created
@@ -97,9 +99,9 @@ def connect(
             and the re-optimization loop.
         capture_explain: record EXPLAIN ANALYZE text of every statement on
             its cursor (``Cursor.explain_text``).
-        **overrides: :class:`EngineSettings` fields — ``engine``, ``workers``,
-            ``morsel_size``, ``memory_budget``, ``estimator``, ... — applied
-            at the highest precedence.
+        **overrides: :class:`EngineSettings` fields — ``engine``,
+            ``memory_budget``, ``estimator``, ... — applied at the highest
+            precedence.
     """
     return Connection(
         database,

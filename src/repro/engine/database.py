@@ -108,8 +108,6 @@ class Database:
             self.catalog,
             self.cost_model,
             engine=self.settings.engine,
-            workers=self.settings.workers,
-            morsel_size=self.settings.morsel_size,
             memory_budget=self.settings.memory_budget,
         )
         self.binder = Binder(self.catalog)
@@ -143,23 +141,18 @@ class Database:
     def executor_for(
         self,
         engine: ExecutionEngine,
-        workers: Optional[int] = None,
-        morsel_size: Optional[int] = None,
         memory_budget: Optional[int] = None,
     ) -> Executor:
         """A second executor over the same catalog using ``engine``.
 
         Used by the differential-testing harness to run one planned query
-        through several engines.  ``workers``/``morsel_size``/
-        ``memory_budget`` default to the database settings; the first two
-        only matter for the parallel engine.
+        through several engines.  ``memory_budget`` defaults to the database
+        settings.
         """
         return Executor(
             self.catalog,
             self.cost_model,
             engine=engine,
-            workers=self.settings.workers if workers is None else workers,
-            morsel_size=self.settings.morsel_size if morsel_size is None else morsel_size,
             memory_budget=(
                 self.settings.memory_budget if memory_budget is None else memory_budget
             ),

@@ -2,20 +2,21 @@
 
 Collects the knobs the paper's experimental setup mentions (statistics
 target, planner limits, cost constants) — plus the engine's own knobs
-(execution engine, parallelism, plan cache, estimator strategy, feedback
+(execution engine, plan cache, estimator strategy, feedback
 persistence) — into one object so benchmarks, tests, ``connect()``, the
 threaded server and the CLI all configure engines the same way.
 
 Configuration precedence, everywhere a settings object is accepted:
 
-1. an explicit keyword argument (``connect(workers=8)``),
+1. an explicit keyword argument (``connect(estimator="feedback")``),
 2. the provided settings object (``connect(settings=EngineSettings(...))``),
 3. the field defaults below.
 
 :meth:`EngineSettings.resolve` implements exactly that lowering;
 :meth:`EngineSettings.replace` derives a validated copy with overrides.
-Unknown keyword names raise :class:`~repro.errors.ConfigError` naming the
-nearest valid field.
+Unknown keyword names and invalid values (an unknown engine or estimator
+name included) raise :class:`~repro.errors.ConfigError`; an unknown name
+gets the nearest valid field, or the list of fields when none is close.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class EngineSettings:
         engine: operator implementation used to execute plans — the
             vectorized columnar engine (default) or the row-at-a-time
             reference oracle.  Charged work is engine-invariant; only
-            wall-clock changes.  Accepts the enum or its string name.
+            wall-clock changes.  Accepts the enum or its string name
+            (``"vectorized"``/``"reference"``).
         plan_cache_size: default LRU capacity of a connection's plan cache
             (0 disables caching; per-connection override on ``connect()``).
         adaptive: run re-optimization as operator-level adaptive execution
@@ -65,10 +67,6 @@ class EngineSettings:
             materialize-and-rewrite simulation.  Off by default so the
             paper-figure benchmarks keep reproducing the published accounting;
             per-connection override on ``connect()``.
-        workers: worker-pool size for the morsel-driven parallel engine
-            (``engine="parallel"``); ignored by the serial engines.
-        morsel_size: rows per morsel for the parallel engine's scan and
-            join splitting; ignored by the serial engines.
         memory_budget: max rows a pipeline breaker may hold in memory
             (``None`` = unbounded).  When set, hash-join build sides larger
             than the budget run as grace hash joins and oversized sorts as
@@ -96,8 +94,6 @@ class EngineSettings:
     engine: ExecutionEngine = ExecutionEngine.VECTORIZED
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
     adaptive: bool = False
-    workers: int = 4
-    morsel_size: int = 4096
     memory_budget: Optional[int] = None
     estimator: str = "stats"
     feedback_capacity: int = DEFAULT_FEEDBACK_CAPACITY
@@ -108,8 +104,6 @@ class EngineSettings:
         self.engine = ExecutionEngine.from_name(self.engine)
         _require(self.statistics_target >= 1, "statistics_target must be >= 1")
         _require(self.plan_cache_size >= 0, "plan_cache_size must be >= 0")
-        _require(self.workers >= 1, "workers must be >= 1")
-        _require(self.morsel_size >= 1, "morsel_size must be >= 1")
         _require(
             self.memory_budget is None or self.memory_budget >= 1,
             "memory_budget must be >= 1 (or None for unbounded)",
@@ -159,5 +153,8 @@ def _require(condition: bool, message: str) -> None:
 
 def _unknown_setting_message(key: str, valid: "set[str]") -> str:
     close = difflib.get_close_matches(key, sorted(valid), n=1)
-    hint = f"; did you mean {close[0]!r}?" if close else ""
-    return f"unknown engine setting {key!r}{hint}"
+    if close:
+        hint = f"did you mean {close[0]!r}?"
+    else:
+        hint = f"expected one of: {', '.join(sorted(valid))}"
+    return f"unknown engine setting {key!r}; {hint}"

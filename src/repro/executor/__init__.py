@@ -2,7 +2,8 @@
 
 Two engines implement the plan operators:
 
-* :mod:`repro.executor.operators` — the vectorized columnar engine (default);
+* :mod:`repro.executor.operators` — the vectorized columnar engine (default),
+  whose filtered scans run fused kernels (:mod:`repro.executor.scan`);
 * :mod:`repro.executor.reference` — the row-at-a-time oracle used for
   differential testing.
 

@@ -1,12 +1,13 @@
-"""Expression compilation: one tree, two evaluation targets.
+"""Expression compilation: one tree, three evaluation targets.
 
-The unified :class:`~repro.sql.ast.Expr` tree is compiled into either of
+The unified :class:`~repro.sql.ast.Expr` tree is compiled into any of
 
 * **Row closures** (the reference engine): :func:`compile_scalar` turns an
   expression into a plain Python callable taking a row tuple and returning
   the SQL value (``None`` is NULL); :func:`compile_predicate` wraps it with
   SQL's truthiness rule (only ``True`` keeps a row).
-* **Batch evaluators** (the vectorized engine): :func:`compile_batch_scalar`
+* **Batch evaluators** (the vectorized engine's residual join filters,
+  aggregates, sort keys and scan fallback): :func:`compile_batch_scalar`
   produces a callable taking a :class:`~repro.executor.batch.ColumnBatch`
   plus an optional candidate-index list and returning the per-candidate
   values column-wise; :func:`compile_batch_predicate` returns the surviving
@@ -15,11 +16,16 @@ The unified :class:`~repro.sql.ast.Expr` tree is compiled into either of
   ones, and the common leaf shapes (``column op literal``, ``IN``, ``LIKE``,
   ``BETWEEN``, ``IS NULL`` over a bare column) compile to specialized
   tight-loop filters that never materialize intermediate value lists.
+* **Fused filter kernels** (the vectorized engine's scans):
+  :func:`compile_fused_filter` generates one single-pass loop over a whole
+  filter conjunction; shapes it cannot express return ``None`` and the scan
+  falls back to the batch evaluators.
 
-Both targets are compiled from the same AST, share the value semantics of
-:mod:`repro.sql.values` (three-valued logic, NULL-propagating arithmetic,
-division by zero -> NULL) and must agree exactly — the differential test
-suite and the expression fuzzer enforce this bit-for-bit, floats included.
+All three targets are compiled from the same AST, share the value
+semantics of :mod:`repro.sql.values` (three-valued logic, NULL-propagating
+arithmetic, division by zero -> NULL) and must agree exactly — the
+differential test suite and the expression fuzzer enforce this
+bit-for-bit, floats included.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ BatchScalar = Callable[[object, Optional[Sequence[int]]], List[object]]
 #: indices``.  ``columns`` is the batch's raw backing column lists (no
 #: selection vector); the optional fourth argument replaces the
 #: ``range(start, end)`` row loop with an explicit candidate-index iterable
-#: (segment skipping hands surviving rows through it).
+#: (index scans and segment skipping hand their surviving rows through it).
 FusedFilter = Callable[[Sequence[List[object]], int, int], List[int]]
 
 __all__ = [
@@ -669,7 +675,7 @@ def _count(batch, candidates: Optional[Sequence[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fused single-pass kernels (the morsel-parallel engine's scan target)
+# Fused single-pass kernels (the vectorized engine's scan target)
 # ---------------------------------------------------------------------------
 #
 # The batch compiler above runs one Python pass per tree node: every
@@ -679,8 +685,7 @@ def _count(batch, candidates: Optional[Sequence[int]]) -> int:
 # assignment per tree node, short-circuiting between top-level conjuncts —
 # and ``compile()``s it once per plan.  On a scan-heavy workload this
 # replaces N list materializations and N closure dispatches per batch with a
-# single interpreted loop, which is where the parallel engine's speedup over
-# the serial vectorized engine comes from.
+# single interpreted loop, which is what makes filtered scans fast.
 #
 # The generated code implements exactly the three-valued semantics of
 # :mod:`repro.sql.values` (the differential fuzzer pins this bit-for-bit);
@@ -928,11 +933,11 @@ def compile_fused_filter(
 ) -> Optional[FusedFilter]:
     """Fuse a whole filter conjunction into one compiled single-pass kernel.
 
-    Returns ``(columns, start, end) -> kept indices`` — a callable over the
-    batch's raw backing column lists, suitable for dispatching disjoint
-    ``[start, end)`` morsels to a worker pool — or ``None`` when the
-    conjunction is empty or contains a node fusion cannot express (the
-    caller then falls back to :func:`compile_batch_conjunction`).  Kernels
+    Returns ``(columns, start, end[, candidates]) -> kept indices`` — a
+    callable over the batch's raw backing column lists — or ``None`` when
+    the conjunction is empty or contains a node fusion cannot express (the
+    caller then falls back to the per-node batch compiler, see
+    :func:`repro.executor.scan.filter_rows`).  Kernels
     are cached per (filter SQL, column layout), so a plan executed many
     times compiles its filters once.
     """

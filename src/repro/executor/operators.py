@@ -4,7 +4,8 @@ This is the default execution engine.  Every operator consumes and produces
 :class:`~repro.executor.batch.ColumnBatch` objects:
 
 * ``scan_table`` wraps the storage layer's raw column lists into a batch
-  without copying and narrows it with a compiled batch predicate;
+  without copying and narrows it with one fused filter kernel over the
+  whole conjunction (:func:`repro.executor.scan.filter_rows`);
 * ``join_results`` hash-joins two batches by materializing only the key
   columns, then represents the output as two shared selection vectors — no
   payload column is touched until something downstream reads it;
@@ -36,7 +37,7 @@ from repro.executor.reference import (
     output_columns,
     resolve_join_positions,
 )
-from repro.executor.scan import projected_names, scan_partitioned
+from repro.executor.scan import filter_rows, projected_names, scan_partitioned
 from repro.sql.ast import AggregateFunc, ColumnRef, SelectItem
 from repro.sql.binder import BoundJoin, BoundSortKey
 
@@ -73,16 +74,17 @@ def scan_table(
     """Scan a base table column-wise, optionally through an index.
 
     The sequential path hands the table's backing column lists straight into
-    the batch (zero-copy); filtering only builds a selection vector.  For a
-    partitioned table, ``pruned_partitions`` (derived by the executor from
-    the zone maps) drops whole shards before the filter runs, and the scan
-    goes through the late-materialization pipeline in
-    :mod:`repro.executor.scan` — segment skipping, compressed-domain filter
-    kernels, then decode of only the surviving rows.  ``columns`` is the
-    planner's projection-pushdown set (``None`` = full width); it must
-    include every column the filters reference.  ``observed`` is part of
-    the operator protocol (the parallel engine records morsel statistics
-    through it, partitioned scans their skip/decode counters).
+    the batch (zero-copy); filtering only builds a selection vector, in one
+    fused pass over the whole filter conjunction.  An index scan hands its
+    sorted row ids to that pass as the candidate list.  For a partitioned
+    table, ``pruned_partitions`` (derived by the executor from the zone
+    maps) drops whole shards before the filter runs, and the scan goes
+    through the late-materialization pipeline in :mod:`repro.executor.scan`
+    — segment skipping, compressed-domain filter kernels, then decode of
+    only the surviving rows.  ``columns`` is the planner's
+    projection-pushdown set (``None`` = full width); it must include every
+    column the filters reference.  ``observed`` receives the partitioned
+    scan's skip/decode counters.
 
     Returns:
         ``(batch, rows_fetched)`` where ``rows_fetched`` is the number of
@@ -97,32 +99,29 @@ def scan_table(
         )
     names = projected_names(table.schema, columns)
     qualified: List[QualifiedColumn] = [(alias, name) for name in names]
-    if columns is None:
-        data = table.column_data()
-    else:
-        table_data = table.column_data()
-        data = [table_data[table.schema.column_index(name)] for name in names]
-    batch = ColumnBatch(qualified, data, length=table.row_count)
+    data = table.column_data()
+    if columns is not None:
+        data = [data[table.schema.column_index(name)] for name in names]
 
+    row_ids: Optional[List[int]] = None
+    rows_fetched = table.row_count
     if index_column is not None and index_filter is not None:
         index = catalog.indexes(table_name).get(index_column)
         if index is None:
             raise ExecutionError(
                 f"plan requires an index on {table_name}.{index_column} that does not exist"
             )
-        keys = index_probe_keys(index_filter)
-        row_ids: List[int] = []
-        for key in keys:
-            row_ids.extend(index.lookup(key))
-        row_ids = sorted(set(row_ids))
-        batch = batch.restrict(row_ids)
+        matched: List[int] = []
+        for key in index_probe_keys(index_filter):
+            matched.extend(index.lookup(key))
+        row_ids = sorted(set(matched))
         rows_fetched = len(row_ids)
-    else:
-        rows_fetched = table.row_count
+    if filters:
+        row_ids = filter_rows(list(filters), qualified, data, table.row_count, row_ids)
 
-    predicate = compile_batch_conjunction(list(filters), batch.resolver)
-    if predicate is not None:
-        batch = batch.restrict(predicate(batch))
+    batch = ColumnBatch(qualified, data, length=table.row_count)
+    if row_ids is not None:
+        batch = batch.restrict(row_ids)
     return batch, rows_fetched
 
 
@@ -179,20 +178,20 @@ def join_results(
         build_positions, probe_positions = right_positions, left_positions
 
     composite = len(build_positions) > 1
-    build_keys = _key_rows(build, build_positions)
     buckets: Dict[object, List[int]] = {}
-    for i, key in enumerate(build_keys):
-        if _key_is_null(key, composite):
+    setdefault = buckets.setdefault
+    for i, key in enumerate(_key_rows(build, build_positions)):
+        if (any(v is None for v in key) if composite else key is None):
             continue
-        buckets.setdefault(key, []).append(i)
+        setdefault(key, []).append(i)
 
     build_idx: List[int] = []
     probe_idx: List[int] = []
-    probe_keys = _key_rows(probe, probe_positions)
-    for i, key in enumerate(probe_keys):
-        if _key_is_null(key, composite):
+    get = buckets.get
+    for i, key in enumerate(_key_rows(probe, probe_positions)):
+        if (any(v is None for v in key) if composite else key is None):
             continue
-        matches = buckets.get(key)
+        matches = get(key)
         if not matches:
             continue
         build_idx.extend(matches)

@@ -1,8 +1,15 @@
-"""Late-materializing partitioned scans, shared by the fast engines.
+"""Filtered base-table scans of the vectorized engine.
 
-The vectorized and morsel-parallel engines both scan partitioned tables
-through :func:`scan_partitioned`, which runs a three-stage pipeline per
-shard — filter first, decode last:
+Every filtered scan narrows its rows through :func:`filter_rows`: the whole
+filter conjunction compiles into one fused single-pass kernel
+(:func:`repro.executor.expressions.compile_fused_filter`), and only shapes
+fusion cannot express (CASE, parameters, non-literal LIKE/IN) fall back to
+the per-node batch compiler, one conjunct at a time.  Plain-table scans run
+it over the table's backing columns (index scans hand their sorted row ids
+in as the candidate list).
+
+Partitioned tables scan through :func:`scan_partitioned`, which runs a
+three-stage pipeline per shard — filter first, decode last:
 
 1. **Segment skipping** — each filter conjunct (in negation normal form) is
    tested against per-:data:`~repro.storage.compression.BLOCK_ROWS`-block
@@ -21,9 +28,8 @@ shard — filter first, decode last:
    row, so the keep set is bit-identical by construction.
 3. **Decode-path residual** — everything else (multi-column conjuncts,
    plain/open columns, shapes the value compiler rejects) decodes only the
-   columns it references and runs through the fused filter kernel (with the
-   surviving candidates threaded through its ``_cand`` parameter) or the
-   per-node batch compiler as a fallback.
+   columns it references and runs through :func:`filter_rows` with the
+   surviving candidates.
 
 Surviving rows then materialize **only the projected columns**
 (:class:`~repro.optimizer.plan.ScanNode.columns`); partitions concatenate
@@ -40,7 +46,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.executor.batch import ColumnBatch
 from repro.executor.expressions import (
-    ColumnResolver,
     compile_batch_predicate,
     compile_fused_filter,
     compile_value_predicate,
@@ -55,7 +60,7 @@ from repro.storage.compression import (
 )
 from repro.storage.partition import ColumnZone, Partition, ZoneMap
 
-__all__ = ["projected_names", "scan_partitioned"]
+__all__ = ["filter_rows", "projected_names", "scan_partitioned"]
 
 
 def projected_names(schema, columns: Optional[Sequence[str]]) -> List[str]:
@@ -69,6 +74,33 @@ def projected_names(schema, columns: Optional[Sequence[str]]) -> List[str]:
         return list(schema.column_names)
     wanted = set(columns)
     return [name for name in schema.column_names if name in wanted]
+
+
+def filter_rows(
+    filters: Sequence[Expr],
+    qualified: Sequence[Tuple[str, str]],
+    data: Sequence[List[object]],
+    length: int,
+    candidates: Optional[List[int]] = None,
+) -> List[int]:
+    """Row ids among ``candidates`` (``None`` = all ``length`` rows) passing
+    every conjunct of the non-empty ``filters``, in candidate order.
+
+    ``data`` holds raw column lists laid out as ``qualified``.  The fused
+    kernel runs when it can express the conjunction; otherwise each conjunct
+    narrows the candidates through the per-node batch compiler.
+    """
+    batch = ColumnBatch(qualified, data, length=length)
+    kernel = compile_fused_filter(filters, batch.resolver)
+    if kernel is not None:
+        return kernel(data, 0, length, candidates)
+    for conjunct in filters:
+        candidates = compile_batch_predicate(conjunct, batch.resolver)(
+            batch, candidates
+        )
+        if not candidates:
+            return []
+    return candidates
 
 
 class _CompiledFilters:
@@ -275,17 +307,7 @@ def _scan_one_partition(
             partition.column_at(compiled.positions[name])
             for name in residual_names
         ]
-        resolver = ColumnResolver(qualified)
-        kernel = compile_fused_filter(residual, resolver)
-        if kernel is not None:
-            candidates = kernel(data, 0, row_count, candidates)
-        else:
-            batch = ColumnBatch(qualified, data, length=row_count)
-            for conjunct in residual:
-                check = compile_batch_predicate(conjunct, resolver)
-                candidates = check(batch, candidates)
-                if not candidates:
-                    break
+        candidates = filter_rows(residual, qualified, data, row_count, candidates)
 
     decoded.update(names)
     out = [_materialize(partition, position, candidates) for position in positions]
@@ -299,16 +321,12 @@ def scan_partitioned(
     pruned_partitions: Sequence[int],
     columns: Optional[Sequence[str]],
     observed: Optional[Dict[str, int]] = None,
-    pool=None,
-    workers: int = 1,
 ) -> Tuple[ColumnBatch, int]:
     """Late-materializing scan of a partitioned table's unpruned shards.
 
-    ``pool``/``workers`` let the morsel-parallel engine dispatch one shard
-    pipeline per pool task; shard results always concatenate in partition
-    order, so the output is bit-identical for any worker count.  Returns
-    ``(batch, rows_fetched)`` with ``rows_fetched`` the unpruned shards' row
-    sum — segment skipping changes decode work, never work accounting.
+    Shard results concatenate in partition order.  Returns ``(batch,
+    rows_fetched)`` with ``rows_fetched`` the unpruned shards' row sum —
+    segment skipping changes decode work, never work accounting.
     """
     schema = table.schema
     names = projected_names(schema, columns)
@@ -339,19 +357,13 @@ def scan_partitioned(
         return ColumnBatch(qualified, data, length=rows_fetched), rows_fetched
 
     compiled = _CompiledFilters(alias, filters, schema)
-    task = lambda partition: _scan_one_partition(  # noqa: E731
-        partition, compiled, positions, names
-    )
-    if pool is not None and workers > 1 and len(kept) > 1:
-        results = list(pool.map(task, kept))
-    else:
-        results = [task(partition) for partition in kept]
-
     out: List[List[object]] = [[] for _ in positions]
-    survivors = 0
     skipped_total = 0
     decoded_all: Set[str] = set()
-    for columns_part, skipped, decoded in results:
+    for partition in kept:
+        columns_part, skipped, decoded = _scan_one_partition(
+            partition, compiled, positions, names
+        )
         for accumulator, part in zip(out, columns_part):
             accumulator.extend(part)
         skipped_total += skipped

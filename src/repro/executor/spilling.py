@@ -1,12 +1,11 @@
 """Budget-aware operator wrapper: grace hash join and external merge sort.
 
 :class:`SpillingOperators` wraps any base operator set
-(:mod:`~repro.executor.operators`, :mod:`~repro.executor.reference`, or a
-:class:`~repro.executor.parallel.MorselOperators` instance) and intercepts
-the two pipeline breakers whose working state grows with input size — the
-hash-join build table and the sort — whenever their input exceeds
-``memory_budget`` rows.  Everything else delegates to the base engine
-untouched, so one wrapper serves all three engines.
+(:mod:`~repro.executor.operators` or :mod:`~repro.executor.reference`) and
+intercepts the two pipeline breakers whose working state grows with input
+size — the hash-join build table and the sort — whenever their input
+exceeds ``memory_budget`` rows.  Everything else delegates to the base
+engine untouched, so one wrapper serves both engines.
 
 Determinism is the contract: spilled execution returns **bit-identical**
 results to the in-memory engines.

@@ -21,6 +21,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             run_experiments(["nope"])
 
+    @pytest.mark.parametrize("command", ["run", "sql"])
+    def test_only_vectorized_and_reference_engines_accepted(self, command, capsys):
+        parser = build_parser()
+        extra = ["fig1"] if command == "run" else []
+        assert parser.parse_args([command, *extra, "--engine", "reference"]).engine == "reference"
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, *extra, "--engine", "parallel"])
+        assert "invalid choice: 'parallel'" in capsys.readouterr().err
+
 
 class TestRun:
     def test_run_table45_without_context(self, capsys):

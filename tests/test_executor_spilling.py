@@ -51,11 +51,7 @@ def test_spilling_wraps_every_engine():
     db = build_stocks_database(SMALL_STOCKS)
     planned = db.plan(STOCKS_SQL)
     expected = db.executor.execute(planned.plan).result.rows
-    for engine in (
-        ExecutionEngine.VECTORIZED,
-        ExecutionEngine.REFERENCE,
-        ExecutionEngine.PARALLEL,
-    ):
+    for engine in (ExecutionEngine.VECTORIZED, ExecutionEngine.REFERENCE):
         executor = db.executor_for(engine, memory_budget=64)
         execution = executor.execute(planned.plan)
         assert execution.result.rows == expected, engine
