@@ -1,8 +1,8 @@
 # Convenience targets; every recipe matches what CI runs.
 #
 #   make ci      - the exact step sequence of .github/workflows/ci.yml:
-#                  lint -> unit -> differential -> fuzz ->
-#                  fuzz-partitioned -> guards -> stress
+#                  lint -> perfbench-selftest -> unit -> differential ->
+#                  fuzz -> fuzz-partitioned -> guards -> stress
 #   make test    - tier-1 suite (unit + integration + property + differential)
 #   make unit    - the unit/integration/property suites as CI runs them
 #                  (differential + fuzz split out into their own steps)
@@ -31,17 +31,21 @@
 #                  emits estimators.* info metrics into the trajectory
 #                  report when REPRO_BENCH_REPORT is set
 #   make lint    - ruff check (same invocation as the CI lint job)
+#   make perfbench-selftest - the wall-clock benchmark's own self-tests
 #   make all     - everything
 
 PYTHON ?= python
 SEED ?= 0
 export PYTHONPATH := src
 
-.PHONY: ci test unit diff fuzz fuzz-nightly fuzz-partitioned guards stress bench bench-compare experiments lint all
+.PHONY: ci perfbench-selftest test unit diff fuzz fuzz-nightly fuzz-partitioned guards stress bench bench-compare experiments lint all
 
 # Mirrors the CI workflow's step sequence exactly (lint job, then the test
 # job's pytest steps, then the speedup guards and the serving stress).
-ci: lint unit diff fuzz fuzz-partitioned guards stress
+ci: lint perfbench-selftest unit diff fuzz fuzz-partitioned guards stress
+
+perfbench-selftest:
+	python3 perfbench/selftest.py
 
 test:
 	$(PYTHON) -m pytest -x -q tests

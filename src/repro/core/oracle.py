@@ -192,7 +192,7 @@ class TrueCardinalityOracle:
 
     def _materialize_join(self, query: BoundQuery, subset: AliasSet) -> GroupedRelation:
         graph = self._graph(query)
-        removable = self._pick_removable(graph, subset)
+        removable = graph.removable_alias(subset)
         remainder = subset - {removable}
         left = self._materialize(query, remainder)
         right = self._materialize(query, frozenset((removable,)))
@@ -255,12 +255,3 @@ class TrueCardinalityOracle:
                 counts[out_key] += lcount * rcount
         del combined_columns  # only the projected columns are retained
         return GroupedRelation(keep, counts)
-
-    @staticmethod
-    def _pick_removable(graph: JoinGraph, subset: AliasSet) -> str:
-        ordered = sorted(subset)
-        for alias in reversed(ordered):
-            remainder = subset - {alias}
-            if graph.is_connected(remainder) and graph.connects(remainder, {alias}):
-                return alias
-        return ordered[-1]

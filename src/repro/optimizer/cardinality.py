@@ -388,7 +388,10 @@ class CardinalityEstimator:
         self.injector = injector if injector is not None else NoInjection()
         self.strategy = strategy
         self.selectivity = SelectivityEstimator(catalog)
-        self._memo: Dict[FrozenSet[str], float] = {}
+        #: Estimates keyed by join-graph alias bitmask.
+        self._memo: Dict[int, float] = {}
+        #: Selectivity of each equi-join predicate, computed once per query.
+        self._join_memo: Dict[BoundJoin, float] = {}
         self.estimates_by_size: Counter = Counter()
         self.estimate_calls = 0
         if strategy is not None:
@@ -404,24 +407,30 @@ class CardinalityEstimator:
         """Estimated rows of joining all aliases in ``subset``."""
         if not subset:
             raise CardinalityError("cannot estimate the empty alias set")
-        subset = frozenset(subset)
-        if subset in self._memo:
-            return self._memo[subset]
-        unknown = subset - set(self.query.aliases)
-        if unknown:
+        try:
+            mask = self.graph.mask_of(subset)
+        except KeyError:
+            unknown = sorted(set(subset) - set(self.query.aliases))
             raise CardinalityError(
-                f"aliases {sorted(unknown)} are not part of query {self.query.name!r}"
-            )
+                f"aliases {unknown} are not part of query {self.query.name!r}"
+            ) from None
+        return self.mask_cardinality(mask)
+
+    def mask_cardinality(self, mask: int) -> float:
+        """:meth:`subset_cardinality` of a join-graph alias bitmask."""
+        rows = self._memo.get(mask)
+        if rows is not None:
+            return rows
+        subset = self.graph.aliases_of(mask)
         self.estimate_calls += 1
         self.estimates_by_size[len(subset)] += 1
         injected = self.injector.lookup(self.query, subset)
         if injected is not None:
-            rows: Optional[float] = max(MIN_ROWS, float(injected))
+            rows = max(MIN_ROWS, float(injected))
         else:
             # The active strategy is consulted after injectors (perfect-(n)
             # and runtime re-optimization feedback stay authoritative) and
             # may decline with ``None``, deferring to the built-in model.
-            rows = None
             if self.strategy is not None:
                 answer = self.strategy.estimate_subset(self.query, subset)
                 if answer is not None:
@@ -430,20 +439,25 @@ class CardinalityEstimator:
                 if len(subset) == 1:
                     rows = self._estimate_scan(next(iter(subset)))
                 else:
-                    rows = self._estimate_join(subset)
-        self._memo[subset] = rows
+                    rows = self._estimate_join(mask)
+        self._memo[mask] = rows
         return rows
 
     def join_selectivity(self, joins: List[BoundJoin]) -> float:
         """Combined selectivity of the given join predicates (independence)."""
         selectivity = 1.0
         for join in joins:
-            selectivity *= self.selectivity.join_predicate_selectivity(
-                self.query.table_for(join.left_alias),
-                join.left_column,
-                self.query.table_for(join.right_alias),
-                join.right_column,
-            )
+            predicate = self._join_memo.get(join)
+            if predicate is None:
+                predicate = self._join_memo[join] = (
+                    self.selectivity.join_predicate_selectivity(
+                        self.query.table_for(join.left_alias),
+                        join.left_column,
+                        self.query.table_for(join.right_alias),
+                        join.right_column,
+                    )
+                )
+            selectivity *= predicate
         return clamp_selectivity(selectivity)
 
     def filter_selectivity(self, alias: str, predicate: Expr) -> float:
@@ -471,7 +485,7 @@ class CardinalityEstimator:
         if subset is None:
             self._memo.clear()
         else:
-            self._memo.pop(frozenset(subset), None)
+            self._memo.pop(self.graph.mask_of(subset), None)
 
     # -- internals ----------------------------------------------------------
 
@@ -480,20 +494,20 @@ class CardinalityEstimator:
         filters = self.query.filters_for(alias)
         return self.selectivity.scan_rows(table, filters)
 
-    def _estimate_join(self, subset: FrozenSet[str]) -> float:
-        removable = self._pick_removable(subset)
-        remainder = subset - {removable}
-        joins = self.graph.joins_between_sets(remainder, {removable})
-        left_rows = self.subset_cardinality(remainder)
-        right_rows = self.subset_cardinality(frozenset((removable,)))
+    def _estimate_join(self, mask: int) -> float:
+        graph = self.graph
+        removable = graph.removable_bit(mask)
+        remainder = mask & ~removable
+        joins = graph.joins_between_masks(remainder, removable)
+        left_rows = self.mask_cardinality(remainder)
+        right_rows = self.mask_cardinality(removable)
         # Residual join filters become applicable exactly when the subset
         # first covers all their aliases; their selectivity multiplies in
         # here so every plan over this subset sees the same estimate.
         residuals = [
             residual
-            for residual in self.query.residuals
-            if removable in residual.referenced_aliases()
-            and set(residual.referenced_aliases()) <= subset
+            for residual, referenced in graph.residual_masks
+            if referenced & removable and not referenced & ~mask
         ]
         selectivity = self.residual_selectivity(residuals) if residuals else 1.0
         if not joins and not residuals:
@@ -502,16 +516,3 @@ class CardinalityEstimator:
         if joins:
             selectivity *= self.join_selectivity(joins)
         return max(MIN_ROWS, left_rows * right_rows * selectivity)
-
-    def _pick_removable(self, subset: FrozenSet[str]) -> str:
-        """Pick a deterministic alias whose removal keeps the subset connected."""
-        ordered = sorted(subset)
-        for alias in reversed(ordered):
-            remainder = subset - {alias}
-            if self.graph.is_connected(remainder) and self.graph.connects(
-                remainder, {alias}
-            ):
-                return alias
-        # Disconnected subsets (should not happen for enumerated subsets, but
-        # injected experiments may probe them): peel off the last alias.
-        return ordered[-1]

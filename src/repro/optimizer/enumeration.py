@@ -11,23 +11,37 @@ Three strategies, mirroring how PostgreSQL scales its search with query size:
 * **Greedy operator ordering** for large queries (the stand-in for GEQO):
   repeatedly join the pair of components with the smallest estimated output.
 
-All strategies share the candidate generation in :meth:`_join_candidates`,
-which considers hash join, nested loop, index nested loop (when the inner is
-a base table with an index on the join key) and merge join in both
-orientations, costed with the shared :class:`~repro.optimizer.cost.CostModel`.
+Alias subsets are the join graph's bitmasks (bit ``i`` = ``i``-th alias in
+sorted order; see :mod:`repro.optimizer.joingraph`).  Dynamic programming
+visits only the connected subsets, grown one neighbouring alias at a time,
+and takes its splits from the graph's memoized connectivity tests: bushy
+splits hold the lowest-sorted alias on the left and follow ``combinations``
+order over the rest; linear splits peel one alias in sorted order.
+
+All strategies share :meth:`JoinEnumerator._cheapest_join`, which costs hash
+join, nested loop, merge join and index nested loop (when the inner is a
+base table with an index on the join key) in both orientations, with the
+shared :class:`~repro.optimizer.cost.CostModel`.  Candidates are plain
+numbers: only the winner of each subset (or greedy merge) becomes a
+:class:`~repro.optimizer.plan.JoinNode`.  Tie rule: a candidate replaces the
+incumbent only when strictly cheaper, so among equal costs the first one
+generated in the order above wins.  ``candidates_considered`` still counts
+every costed candidate; greedy caches each component pair's cheapest
+candidate until one side merges and re-adds its count on every reuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import ColumnType
 from repro.errors import PlanningError
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel
+from repro.optimizer.joingraph import mask_bits
 from repro.optimizer.plan import (
     AccessPath,
     AggregateNode,
@@ -56,7 +70,9 @@ from repro.sql.binder import BoundQuery
 from repro.sql.builder import scan_referenced_columns
 from repro.storage.partition import PartitionedTable
 
-AliasSet = FrozenSet[str]
+#: A costed join candidate: ``(cost, algorithm, outer, inner, outer mask,
+#: inner mask)``; the masks are join-graph alias bitmasks.
+JoinChoice = Tuple[float, JoinAlgorithm, PlanNode, PlanNode, int, int]
 
 
 @dataclass
@@ -97,7 +113,19 @@ class JoinEnumerator:
         self.config = config or PlannerConfig()
         self.graph = estimator.graph
         self.candidates_considered = 0
-        self._best: Dict[AliasSet, PlanNode] = {}
+        #: Cheapest plan per connected subset, keyed by alias bitmask.
+        self._best: Dict[int, PlanNode] = {}
+        self._probes: Dict[int, int] = {}
+        #: Join algorithms costed for every equi-joined pair, in tie order.
+        self._join_costs = [(JoinAlgorithm.HASH_JOIN, cost_model.hash_join_cost)]
+        if self.config.enable_nested_loop:
+            self._join_costs.append(
+                (JoinAlgorithm.NESTED_LOOP, cost_model.nested_loop_cost)
+            )
+        if self.config.enable_merge_join:
+            self._join_costs.append(
+                (JoinAlgorithm.MERGE_JOIN, cost_model.merge_join_cost)
+            )
 
     # -- public API ------------------------------------------------------------
 
@@ -119,10 +147,10 @@ class JoinEnumerator:
                 f"supported (components: {[sorted(c) for c in components]})"
             )
         for alias in self.query.aliases:
-            self._best[frozenset((alias,))] = self._best_scan(alias)
+            self._best[self.graph.mask_of((alias,))] = self._best_scan(alias)
         num_tables = len(self.query.aliases)
         if num_tables == 1:
-            best = self._best[frozenset(self.query.aliases)]
+            best = self._best[self.graph.full_mask]
         elif num_tables <= self.config.dp_limit:
             best = self._dynamic_programming(
                 bushy=num_tables <= self.config.bushy_limit
@@ -244,278 +272,205 @@ class JoinEnumerator:
 
     # -- join candidates -----------------------------------------------------------
 
-    def _bridges_residual(self, left: PlanNode, right: PlanNode) -> bool:
-        """Whether a residual spanning 3+ tables connects these sub-plans.
+    def _cheapest_join(
+        self,
+        left: PlanNode,
+        right: PlanNode,
+        left_mask: int,
+        right_mask: int,
+        output_rows: float,
+        best: Optional[JoinChoice] = None,
+    ) -> Optional[JoinChoice]:
+        """Cost every physical join of two sub-plans against ``best``.
 
-        Such a residual makes the pair graph-connected without giving this
-        join anything to evaluate yet (it only applies once *all* its
-        aliases are covered), so the pair still needs a plain cross-product
-        candidate for the enumeration to reach the covering join.
+        Returns the cheapest of ``best`` and the candidates, which are costed
+        as plain numbers in tie order (see the module docstring).
         """
-        for residual in self.query.residuals:
-            aliases = set(residual.referenced_aliases())
-            if aliases & left.aliases and aliases & right.aliases:
-                return True
-        return False
-
-    def _residuals_for(self, left: PlanNode, right: PlanNode) -> Tuple[Expr, ...]:
-        """Residual join filters first covered by joining ``left`` and ``right``.
-
-        A residual is attached to the join node whose alias set first covers
-        every alias it references and neither child does on its own, so each
-        residual is applied exactly once along any plan tree.
-        """
-        union = left.aliases | right.aliases
-        residuals = []
-        for residual in self.query.residuals:
-            aliases = set(residual.referenced_aliases())
-            if (
-                aliases <= union
-                and not aliases <= left.aliases
-                and not aliases <= right.aliases
-            ):
-                residuals.append(residual)
-        return tuple(residuals)
-
-    def _join_candidates(
-        self, left: PlanNode, right: PlanNode, output_rows: float
-    ) -> List[JoinNode]:
-        """All physical join candidates between two sub-plans (both orientations)."""
-        joins = self.graph.joins_between_sets(left.aliases, right.aliases)
-        residuals = self._residuals_for(left, right)
-        if not joins:
-            if not residuals and not self._bridges_residual(left, right):
-                return []
+        graph = self.graph
+        if graph.join_linked(left_mask, right_mask):
+            algorithms = self._join_costs
+            probe = self.config.enable_index_nested_loop
+        elif graph.residual_bridges(left_mask, right_mask):
             # No equi-join keys: the only physical option is a (possibly
             # filtered) cross product, costed as a nested loop.  A pair
             # bridging a wider residual gets a plain cross product here; the
             # residual itself applies at the join that first covers it.
-            candidates = []
-            for outer, inner in ((left, right), (right, left)):
-                candidates.append(
-                    self._make_join(
-                        outer,
-                        inner,
-                        (),
-                        JoinAlgorithm.NESTED_LOOP,
-                        outer.estimated_cost
-                        + inner.estimated_cost
-                        + self.cost_model.nested_loop_cost(
-                            outer.estimated_rows, inner.estimated_rows, output_rows
-                        ),
-                        output_rows,
-                        residuals,
-                    )
-                )
-            return candidates
-        candidates: List[JoinNode] = []
-        for outer, inner in ((left, right), (right, left)):
-            oriented = tuple(joins)
-            base_cost = outer.estimated_cost + inner.estimated_cost
-            candidates.append(
-                self._make_join(
-                    outer,
-                    inner,
-                    oriented,
-                    JoinAlgorithm.HASH_JOIN,
-                    base_cost
-                    + self.cost_model.hash_join_cost(
-                        outer.estimated_rows, inner.estimated_rows, output_rows
-                    ),
-                    output_rows,
-                    residuals,
-                )
+            algorithms = (
+                (JoinAlgorithm.NESTED_LOOP, self.cost_model.nested_loop_cost),
             )
-            if self.config.enable_nested_loop:
-                candidates.append(
-                    self._make_join(
-                        outer,
-                        inner,
-                        oriented,
-                        JoinAlgorithm.NESTED_LOOP,
-                        base_cost
-                        + self.cost_model.nested_loop_cost(
-                            outer.estimated_rows, inner.estimated_rows, output_rows
-                        ),
-                        output_rows,
-                        residuals,
-                    )
+            probe = False
+        else:
+            return best
+        for outer, inner, outer_mask, inner_mask in (
+            (left, right, left_mask, right_mask),
+            (right, left, right_mask, left_mask),
+        ):
+            outer_rows = outer.estimated_rows
+            base_cost = outer.estimated_cost + inner.estimated_cost
+            for algorithm, join_cost in algorithms:
+                cost = base_cost + join_cost(
+                    outer_rows, inner.estimated_rows, output_rows
                 )
-            if self.config.enable_merge_join:
-                candidates.append(
-                    self._make_join(
-                        outer,
-                        inner,
-                        oriented,
-                        JoinAlgorithm.MERGE_JOIN,
-                        base_cost
-                        + self.cost_model.merge_join_cost(
-                            outer.estimated_rows, inner.estimated_rows, output_rows
-                        ),
-                        output_rows,
-                        residuals,
-                    )
-                )
-            inlj_column = self._index_nested_loop_column(inner, joins)
-            if self.config.enable_index_nested_loop and inlj_column is not None:
+                if best is None or cost < best[0]:
+                    best = (cost, algorithm, outer, inner, outer_mask, inner_mask)
+            self.candidates_considered += len(algorithms)
+            if probe and self._index_probes(inner_mask) & outer_mask:
                 # The inner side is probed through its index, so its own scan
                 # cost is not paid; only the outer subtree cost is.
                 cost = outer.estimated_cost + self.cost_model.index_nested_loop_cost(
-                    outer.estimated_rows,
-                    output_rows,
-                    len(inner.filters) if isinstance(inner, ScanNode) else 0,
+                    outer_rows, output_rows, len(inner.filters)
                 )
-                candidates.append(
-                    self._make_join(
-                        outer,
-                        inner,
-                        oriented,
-                        JoinAlgorithm.INDEX_NESTED_LOOP,
-                        cost,
-                        output_rows,
-                        residuals,
-                    )
-                )
-        return candidates
+                self.candidates_considered += 1
+                if cost < best[0]:
+                    algorithm = JoinAlgorithm.INDEX_NESTED_LOOP
+                    best = (cost, algorithm, outer, inner, outer_mask, inner_mask)
+        return best
 
-    def _index_nested_loop_column(
-        self, inner: PlanNode, joins
-    ) -> Optional[str]:
-        """Column of the inner base table usable for index-nested-loop probing."""
-        if not isinstance(inner, ScanNode):
-            return None
-        indexes = self._catalog.indexes(inner.table)
-        for join in joins:
-            if join.touches(inner.alias):
-                column = join.column_for(inner.alias)
-                if column in indexes:
-                    return column
-        return None
+    def _index_probes(self, inner_mask: int) -> int:
+        """Aliases an index nested loop can probe base table ``inner_mask`` from.
 
-    def _make_join(
-        self,
-        outer: PlanNode,
-        inner: PlanNode,
-        joins,
-        algorithm: JoinAlgorithm,
-        cost: float,
-        output_rows: float,
-        residuals: Tuple[Expr, ...] = (),
-    ) -> JoinNode:
+        Those sharing an equi-join whose key on the inner side is indexed;
+        0 when ``inner_mask`` is a sub-join rather than a base table.
+        """
+        if inner_mask & (inner_mask - 1):
+            return 0
+        if inner_mask not in self._probes:
+            scan = self._best[inner_mask]
+            indexes = self._catalog.indexes(scan.table)
+            self._probes[inner_mask] = self.graph.mask_of(
+                join.other(scan.alias)[0]
+                for join in self.graph.joins_between_masks(inner_mask, self.graph.full_mask)
+                if join.column_for(scan.alias) in indexes
+            )
+        return self._probes[inner_mask]
+
+    def _build_join(self, choice: JoinChoice, output_rows: float) -> JoinNode:
+        """The plan node of a winning candidate."""
+        cost, algorithm, outer, inner, outer_mask, inner_mask = choice
         node = JoinNode(
             left=outer,
             right=inner,
-            join_predicates=tuple(joins),
+            join_predicates=self.graph.joins_between_masks(outer_mask, inner_mask),
             algorithm=algorithm,
-            residual_filters=tuple(residuals),
+            residual_filters=self.graph.residuals_covered(outer_mask, inner_mask),
         )
         node.estimated_rows = output_rows
         node.estimated_cost = cost
-        self.candidates_considered += 1
         return node
 
     # -- dynamic programming ----------------------------------------------------------
 
     def _dynamic_programming(self, bushy: bool) -> PlanNode:
-        aliases = list(self.query.aliases)
-        total = len(aliases)
-        for size in range(2, total + 1):
-            for combo in combinations(aliases, size):
-                subset = frozenset(combo)
-                if not self.graph.is_connected(subset):
-                    continue
-                output_rows = self.estimator.subset_cardinality(subset)
-                best: Optional[PlanNode] = None
-                for left_set, right_set in self._splits(subset, bushy):
-                    left = self._best.get(left_set)
-                    right = self._best.get(right_set)
+        """Best plan of every connected subset, smallest subsets first."""
+        graph = self.graph
+        levels = graph.connected_mask_levels(len(self.query.aliases))
+        for level in levels[1:]:
+            for subset in level:
+                output_rows = self.estimator.mask_cardinality(subset)
+                best: Optional[JoinChoice] = None
+                for left_mask, right_mask in self._split_masks(subset, bushy):
+                    left = self._best.get(left_mask)
+                    right = self._best.get(right_mask)
                     if left is None or right is None:
                         continue
-                    for candidate in self._join_candidates(left, right, output_rows):
-                        if best is None or candidate.estimated_cost < best.estimated_cost:
-                            best = candidate
+                    best = self._cheapest_join(
+                        left, right, left_mask, right_mask, output_rows, best
+                    )
                 if best is not None:
-                    self._best[subset] = best
-        full = frozenset(aliases)
-        if full not in self._best:
+                    self._best[subset] = self._build_join(best, output_rows)
+        if graph.full_mask not in self._best:
             raise PlanningError(
                 f"no connected plan covers all tables of query {self.query.name!r}"
             )
-        return self._best[full]
+        return self._best[graph.full_mask]
 
-    def _splits(
-        self, subset: AliasSet, bushy: bool
-    ) -> List[Tuple[AliasSet, AliasSet]]:
-        """Connected, join-linked binary splits of ``subset``."""
-        splits: List[Tuple[AliasSet, AliasSet]] = []
-        if bushy and len(subset) > 2:
-            members = sorted(subset)
-            anchor = members[0]
-            others = members[1:]
-            for r in range(0, len(others)):
-                for combo in combinations(others, r):
-                    left = frozenset((anchor,) + combo)
-                    right = subset - left
-                    if not right:
-                        continue
-                    if not self.graph.is_connected(left):
-                        continue
-                    if not self.graph.is_connected(right):
-                        continue
-                    if not self.graph.connects(left, right):
-                        continue
-                    splits.append((left, right))
+    def _split_masks(self, subset: int, bushy: bool) -> Iterator[Tuple[int, int]]:
+        """Connected, join-linked binary splits of ``subset``.
+
+        Bushy: every left side holding the lowest-sorted alias, by growing
+        size and in ``combinations`` order over the other aliases.  Linear
+        (and any two-table subset): peel one alias, in sorted order.
+        """
+        graph = self.graph
+        members = list(mask_bits(subset))
+        if bushy and len(members) > 2:
+            anchor, others = members[0], members[1:]
+            for size in range(len(others)):
+                for combo in combinations(others, size):
+                    left = sum(combo, anchor)
+                    right = subset & ~left
+                    if (
+                        graph.connected(left)
+                        and graph.connected(right)
+                        and graph.linked(left, right)
+                    ):
+                        yield left, right
         else:
-            for alias in sorted(subset):
-                rest = subset - {alias}
-                if not rest:
-                    continue
-                if not self.graph.is_connected(rest):
-                    continue
-                if not self.graph.connects(rest, {alias}):
-                    continue
-                splits.append((rest, frozenset((alias,))))
-        return splits
+            for bit in members:
+                rest = subset & ~bit
+                if graph.connected(rest) and graph.linked(bit, rest):
+                    yield rest, bit
 
     # -- greedy operator ordering ---------------------------------------------------------
 
     def _greedy_operator_ordering(self) -> PlanNode:
-        components: Dict[AliasSet, PlanNode] = {
-            frozenset((alias,)): self._best[frozenset((alias,))]
-            for alias in self.query.aliases
-        }
+        """Repeatedly join the linked component pair with the fewest output rows.
+
+        Ties on rows go to the cheaper pair, then to the first pair in
+        sorted-alias order.  Each pair's cheapest candidate is cached until
+        one of its components merges.
+        """
+        graph = self.graph
+        components: Dict[int, PlanNode] = dict(self._best)  # one scan per alias
+        pairs: Dict[Tuple[int, int], Tuple[float, Optional[JoinChoice], int]] = {}
         while len(components) > 1:
-            best_pair: Optional[Tuple[AliasSet, AliasSet]] = None
-            best_plan: Optional[PlanNode] = None
+            best_pair: Optional[Tuple[int, int]] = None
+            best_plan: Optional[JoinChoice] = None
             best_rows = float("inf")
-            keys = sorted(components, key=lambda s: tuple(sorted(s)))
-            for left_set, right_set in combinations(keys, 2):
-                if not self.graph.connects(left_set, right_set):
+            keys = sorted(components, key=graph.sort_key)
+            for pair in combinations(keys, 2):
+                left_mask, right_mask = pair
+                if not graph.linked(left_mask, right_mask):
                     continue
-                union = left_set | right_set
-                output_rows = self.estimator.subset_cardinality(union)
-                candidates = self._join_candidates(
-                    components[left_set], components[right_set], output_rows
-                )
-                if not candidates:
+                cached = pairs.get(pair)
+                if cached is None:
+                    output_rows = self.estimator.mask_cardinality(left_mask | right_mask)
+                    before = self.candidates_considered
+                    cheapest = self._cheapest_join(
+                        components[left_mask],
+                        components[right_mask],
+                        left_mask,
+                        right_mask,
+                        output_rows,
+                    )
+                    cached = (output_rows, cheapest, self.candidates_considered - before)
+                    pairs[pair] = cached
+                else:
+                    self.candidates_considered += cached[2]
+                output_rows, cheapest, _ = cached
+                if cheapest is None:
                     continue
-                cheapest = min(candidates, key=lambda c: c.estimated_cost)
                 if output_rows < best_rows or (
                     output_rows == best_rows
                     and best_plan is not None
-                    and cheapest.estimated_cost < best_plan.estimated_cost
+                    and cheapest[0] < best_plan[0]
                 ):
                     best_rows = output_rows
-                    best_pair = (left_set, right_set)
+                    best_pair = pair
                     best_plan = cheapest
             if best_pair is None or best_plan is None:
                 raise PlanningError(
                     f"greedy ordering could not connect query {self.query.name!r}"
                 )
-            left_set, right_set = best_pair
-            del components[left_set]
-            del components[right_set]
-            components[left_set | right_set] = best_plan
+            merged = best_pair[0] | best_pair[1]
+            del components[best_pair[0]]
+            del components[best_pair[1]]
+            components[merged] = self._build_join(best_plan, best_rows)
+            pairs = {
+                pair: cached
+                for pair, cached in pairs.items()
+                if not (pair[0] | pair[1]) & merged
+            }
         return next(iter(components.values()))
 
     # -- finalization -------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.catalog import ColumnType, make_schema
+from repro.engine import Database
 from repro.errors import PlanningError
 from repro.optimizer import (
     DictInjection,
     JoinAlgorithm,
+    JoinGraph,
     Optimizer,
     PlannerConfig,
     ScanNode,
@@ -101,3 +104,48 @@ class TestOptimizerOnImdb:
         sizes = planned.stats.estimates_by_size
         assert sizes[1] == 7
         assert max(sizes) == 7
+
+
+class TestCostOnlyCandidates:
+    def test_one_join_node_per_connected_subset(self, imdb_db, job_queries, monkeypatch):
+        query_sql = next(q for q in job_queries if q.num_tables == 10)
+        query = imdb_db.parse(query_sql.sql, name=query_sql.name)
+        built = []
+        original = JoinNode.__post_init__
+
+        def counting_post_init(node):
+            built.append(node)
+            original(node)
+
+        monkeypatch.setattr(JoinNode, "__post_init__", counting_post_init)
+        planned = imdb_db.plan(query)
+        graph = JoinGraph(query)
+        multi_table_subsets = len(graph.connected_subsets_up_to(10)) - 10
+        assert len(planned.plan.join_nodes()) == 9
+        # Candidates are costed as numbers; only each subset's winner
+        # becomes a plan node.
+        assert planned.stats.candidates_considered > 10 * multi_table_subsets
+        assert 9 <= len(built) <= multi_table_subsets
+
+    def test_exact_cost_tie_keeps_first_generated_candidate(self):
+        # Three aliases of one single-row, index-free table joined in a
+        # triangle: every nested-loop candidate of the full join costs
+        # exactly the same, in both orientations of all three splits.
+        db = Database()
+        db.create_table(make_schema("t", [("id", ColumnType.INT)]))
+        db.load_rows("t", [(1,)])
+        db.finalize_load()
+        planned = db.plan(
+            "SELECT a.id FROM t AS a, t AS b, t AS c "
+            "WHERE a.id = b.id AND b.id = c.id AND a.id = c.id"
+        )
+        root = planned.plan.join_nodes()[-1]
+        assert root.algorithm is JoinAlgorithm.NESTED_LOOP
+        # The first split tried holds the lowest alias alone, outer first;
+        # a non-strict comparison would end on the last tie, (b, {a, c}).
+        assert root.left.aliases == {"a"}
+        assert root.right.aliases == {"b", "c"}
+        # Two-table subsets peel aliases in sorted order: the first split
+        # of {b, c} is ({c}, {b}).
+        assert isinstance(root.right.left, ScanNode) and root.right.left.alias == "c"
+        assert planned.stats.candidates_considered == 57

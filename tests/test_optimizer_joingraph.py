@@ -83,3 +83,80 @@ class TestJoinGraph:
         assert "t -- " in dot or "a -- " in dot
         text = graph.to_text()
         assert "join graph of star" in text
+
+    def test_removable_alias_keeps_remainder_connected(self):
+        chain = JoinGraph(chain_query(4))
+        assert chain.removable_alias({"t0", "t1", "t2", "t3"}) == "t3"
+        # {t0, t1, t3} is disconnected: no alias qualifies, the highest goes.
+        assert chain.removable_alias({"t0", "t1", "t3"}) == "t3"
+        assert chain.removable_alias({"t1", "t2", "t3"}) == "t3"
+        star = JoinGraph(star_query())
+        assert star.removable_alias({"a", "t"}) == "t"
+        assert star.removable_alias({"a", "b", "t"}) == "b"
+
+
+def cycle_query(n=5):
+    """t0 - t1 - ... - t(n-1) - t0 ring."""
+    builder = QueryBuilder(name="cycle")
+    for i in range(n):
+        builder.add_table("company", f"t{i}")
+    for i in range(n):
+        builder.add_join(f"t{i}", "id", f"t{(i + 1) % n}", "id")
+    return builder.build()
+
+
+def grown_subsets(graph, size):
+    """Alias-set growth one neighbour at a time, sorted by sorted aliases."""
+    current = {frozenset((alias,)) for alias in graph.aliases}
+    for _ in range(size - 1):
+        current = {
+            subset | {neighbor}
+            for subset in current
+            for alias in subset
+            for neighbor in graph.neighbors(alias)
+            if neighbor not in subset
+        }
+    return sorted(current, key=lambda s: tuple(sorted(s)))
+
+
+class TestConnectedSubsetEnumeration:
+    def test_chain_star_cycle_lists(self):
+        chain = JoinGraph(chain_query(4))
+        assert chain.connected_subsets_of_size(3) == [
+            frozenset({"t0", "t1", "t2"}),
+            frozenset({"t1", "t2", "t3"}),
+        ]
+        star = JoinGraph(star_query())
+        assert star.connected_subsets_of_size(2) == [
+            frozenset({"a", "t"}),
+            frozenset({"b", "t"}),
+            frozenset({"c", "t"}),
+        ]
+        cycle = JoinGraph(cycle_query(5))
+        # Every run of k consecutive ring members, listed by sorted aliases.
+        assert cycle.connected_subsets_of_size(2) == [
+            frozenset(pair)
+            for pair in (
+                ("t0", "t1"),
+                ("t0", "t4"),
+                ("t1", "t2"),
+                ("t2", "t3"),
+                ("t3", "t4"),
+            )
+        ]
+        assert len(cycle.connected_subsets_of_size(4)) == 5
+        assert cycle.connected_subsets_of_size(5) == [frozenset(cycle.aliases)]
+
+    def test_matches_alias_set_growth(self, imdb_db, job_queries):
+        job = next(q for q in job_queries if q.num_tables == 12)
+        graphs = [
+            JoinGraph(chain_query(6)),
+            JoinGraph(star_query()),
+            JoinGraph(cycle_query(6)),
+            JoinGraph(imdb_db.parse(job.sql, name=job.name)),
+        ]
+        for graph in graphs:
+            for size in range(1, len(graph.aliases) + 1):
+                assert graph.connected_subsets_of_size(size) == grown_subsets(
+                    graph, size
+                ), (graph.query.name, size)
